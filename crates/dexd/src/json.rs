@@ -1,8 +1,9 @@
-//! Instance ⇄ JSON conversion for the HTTP surface.
+//! Instance ⇄ JSON conversion, shared by the HTTP surface and the
+//! `dexcli` file format.
 //!
-//! Same wire shape as the `dexcli` file format: an object of relation
-//! names to arrays of rows, labeled nulls as `{"null": n}`, Skolem
-//! terms (output only) as `{"skolem": f, "args": […]}`.
+//! The wire shape is an object of relation names to arrays of rows,
+//! labeled nulls as `{"null": n}`, Skolem terms (output only) as
+//! `{"skolem": f, "args": […]}`.
 
 use dex_relational::{Instance, Schema, Tuple, Value};
 use serde_json::{json, Map, Value as Json};
@@ -42,13 +43,15 @@ pub fn instance_to_json(inst: &Instance) -> Json {
         if rel.is_empty() {
             continue;
         }
-        let rows: Vec<Json> = rel
-            .iter()
-            .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
-            .collect();
+        let rows: Vec<Json> = rel.iter().map(|t| tuple_to_json(&t)).collect();
         obj.insert(rel.name().to_string(), Json::Array(rows));
     }
     Json::Object(obj)
+}
+
+/// Render one tuple as its JSON row: an array of cells.
+pub fn tuple_to_json(t: &Tuple) -> Json {
+    Json::Array(t.iter().map(value_to_json).collect())
 }
 
 fn json_to_value(j: &Json) -> Result<Value, String> {

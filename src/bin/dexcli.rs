@@ -44,13 +44,14 @@ use dex::evolution::{diff, prefix_instance, render_mapping_dex, render_schema_de
 use dex::logic::{parse_mapping, parse_mapping_with_spans, Mapping};
 use dex::ops::{compose, maximum_recovery, verify_composition};
 use dex::relational::budget_args::{parse_count, BudgetArgs};
-use dex::relational::{ExhaustionReport, Instance, Schema, SourceStats, Tuple, Value};
+use dex::relational::{ExhaustionReport, Instance, Schema, SourceStats};
 use dex::rellens::Environment;
 use dex::store::migrate::{self as store_migrate, MigrateStatus};
 use dex::store::{
     fsck, ChaseState, MigratePlan, MigrateRun, Migration, Store, StoreMode, StoreOptions, StoreSink,
 };
-use serde_json::{json, Map, Value as Json};
+use dexd::json::{instance_from_json, instance_to_json, tuple_to_json};
+use serde_json::{json, Value as Json};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -323,10 +324,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     answers.len()
                 ),
             }
-            let rows: Vec<Json> = answers
-                .iter()
-                .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
-                .collect();
+            let rows: Vec<Json> = answers.iter().map(tuple_to_json).collect();
             println!(
                 "{}",
                 serde_json::to_string_pretty(&Json::Array(rows)).map_err(|e| e.to_string())?
@@ -1747,73 +1745,9 @@ fn check(m: &Mapping) {
 fn load_instance(path: &str, schema: &Schema) -> Result<Instance, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json: Json = serde_json::from_str(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
-    let obj = json
-        .as_object()
-        .ok_or_else(|| format!("{path}: expected a JSON object of relations"))?;
-    let mut inst = Instance::empty(schema.clone());
-    for (rel, rows) in obj {
-        let rows = rows
-            .as_array()
-            .ok_or_else(|| format!("{path}: `{rel}` must be an array of rows"))?;
-        for row in rows {
-            let cells = row
-                .as_array()
-                .ok_or_else(|| format!("{path}: rows of `{rel}` must be arrays"))?;
-            let tuple: Tuple = cells
-                .iter()
-                .map(json_to_value)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("{path}: {e}"))?
-                .into();
-            inst.insert(rel, tuple)
-                .map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
-    Ok(inst)
-}
-
-fn json_to_value(j: &Json) -> Result<Value, String> {
-    match j {
-        Json::String(s) => Ok(Value::str(s.clone())),
-        Json::Number(n) => n
-            .as_i64()
-            .map(Value::int)
-            .ok_or_else(|| format!("non-integer number {n}")),
-        Json::Bool(b) => Ok(Value::bool(*b)),
-        Json::Object(o) => {
-            if let Some(id) = o.get("null").and_then(Json::as_u64) {
-                return Ok(Value::null(id));
-            }
-            Err(format!("unsupported value {j}"))
-        }
-        other => Err(format!("unsupported value {other}")),
-    }
-}
-
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Const(dex::relational::Constant::Int(i)) => json!(i),
-        Value::Const(dex::relational::Constant::Str(s)) => json!(s),
-        Value::Const(dex::relational::Constant::Bool(b)) => json!(b),
-        Value::Null(n) => json!({ "null": n.0 }),
-        Value::Skolem(f, args) => json!({
-            "skolem": f.as_str(),
-            "args": args.iter().map(value_to_json).collect::<Vec<_>>(),
-        }),
-    }
+    instance_from_json(&json, schema).map_err(|e| format!("{path}: {e}"))
 }
 
 fn render_instance(inst: &Instance) -> String {
-    let mut obj = Map::new();
-    for rel in inst.relations() {
-        if rel.is_empty() {
-            continue;
-        }
-        let rows: Vec<Json> = rel
-            .iter()
-            .map(|t| Json::Array(t.iter().map(value_to_json).collect()))
-            .collect();
-        obj.insert(rel.name().to_string(), Json::Array(rows));
-    }
-    serde_json::to_string_pretty(&Json::Object(obj)).expect("serializable")
+    serde_json::to_string_pretty(&instance_to_json(inst)).expect("serializable")
 }

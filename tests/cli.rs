@@ -2,13 +2,19 @@
 
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn dexcli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dexcli"))
 }
 
+static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// Write `content` to `name` inside a directory unique to this call, so
+/// parallel tests never truncate a file a sibling is reading.
 fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dexcli-tests");
+    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dexcli-tests-{name}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let mut f = std::fs::File::create(&path).unwrap();

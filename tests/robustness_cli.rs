@@ -18,13 +18,22 @@ fn repo_file(rel: &str) -> std::path::PathBuf {
 
 static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Write `content` to a fresh temp file (unique per call, so parallel
-/// tests and fuzz cases never collide).
-fn write_tmp(stem: &str, content: &[u8]) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dexcli-robustness");
-    std::fs::create_dir_all(&dir).unwrap();
+/// A fresh path `dexcli-robustness-{stem}-{pid}-{n}` in the temp
+/// directory (unique per call, so parallel tests and fuzz cases never
+/// collide).
+fn tmp_path(stem: &str) -> std::path::PathBuf {
     let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!("{stem}-{}-{n}", std::process::id()));
+    std::env::temp_dir().join(format!(
+        "dexcli-robustness-{stem}-{}-{n}",
+        std::process::id()
+    ))
+}
+
+/// Write `content` to a file named `stem` in a fresh directory.
+fn write_tmp(stem: &str, content: &[u8]) -> std::path::PathBuf {
+    let dir = tmp_path(stem);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(stem);
     let mut f = std::fs::File::create(&path).unwrap();
     f.write_all(content).unwrap();
     path
@@ -273,10 +282,7 @@ fn stats_json_has_the_documented_shape() {
 
 /// Fresh store directory (unique per call).
 fn tmp_store(stem: &str) -> std::path::PathBuf {
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join("dexcli-robustness")
-        .join(format!("{stem}-{}-{n}", std::process::id()));
+    let dir = tmp_path(stem);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

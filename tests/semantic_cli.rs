@@ -5,9 +5,22 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// A fresh scratch directory unique to this call.
+fn scratch(stem: &str) -> PathBuf {
+    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("dexcli-semantic-{stem}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 fn dexcli(args: &[&str]) -> Output {
@@ -93,7 +106,7 @@ fn optimize_emits_a_smaller_equivalent_mapping() {
     assert!(err.contains("verified"), "{err}");
     // The optimizer's stdout is itself a valid mapping, equivalent to
     // the original — check through `eq` like a skeptical user would.
-    let tmp = std::env::temp_dir().join("dexcli_optimize_roundtrip.dex");
+    let tmp = scratch("optimize_roundtrip").join("optimized.dex");
     std::fs::write(&tmp, stdout.as_bytes()).unwrap();
     let eq = dexcli(&["eq", &fixture("redundant_subsumed"), tmp.to_str().unwrap()]);
     assert_eq!(eq.status.code(), Some(0), "{eq:?}");
@@ -127,8 +140,7 @@ fn optimize_on_minimal_mapping_is_identity() {
 
 #[test]
 fn lint_fix_applies_rewrites_and_reaches_a_fixpoint() {
-    let dir = std::env::temp_dir().join("dexcli_lint_fix_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("lint_fix");
     let path = dir.join("subsumed.dex");
     std::fs::write(
         &path,
@@ -163,8 +175,7 @@ fn lint_fix_applies_rewrites_and_reaches_a_fixpoint() {
 
 #[test]
 fn compose_check_passes_on_a_faithful_composition() {
-    let dir = std::env::temp_dir().join("dexcli_compose_check_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("compose_check");
     let c1 = dir.join("c1.dex");
     let c2 = dir.join("c2.dex");
     std::fs::write(
@@ -190,8 +201,7 @@ fn compose_check_passes_on_a_faithful_composition() {
 
 #[test]
 fn compose_check_skips_second_order_compositions() {
-    let dir = std::env::temp_dir().join("dexcli_compose_so_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("compose_so");
     let c1 = dir.join("so1.dex");
     let c2 = dir.join("so2.dex");
     std::fs::write(
