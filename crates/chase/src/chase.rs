@@ -2,8 +2,8 @@
 
 use crate::error::ChaseError;
 use dex_logic::eval::{
-    extend_matches, extend_matches_mode, has_match_mode, match_conjunction_mode, seed_conjunction,
-    unify_with_tuple, MatchMode, Valuation,
+    extend_matches, extend_matches_mode, for_each_match_mode, has_match_mode,
+    match_conjunction_mode, seed_conjunction, unify_with_tuple, MatchMode, Valuation,
 };
 use dex_logic::{Atom, Mapping, StTgd, Term};
 use dex_relational::{
@@ -59,10 +59,6 @@ pub struct ChaseOptions {
     /// Maximum number of rule-firing rounds for the *target* chase
     /// (guards non-terminating target tgds).
     pub max_rounds: usize,
-    /// Match the st-tgd premises in parallel (one task per tgd). Pays
-    /// off for mappings with several expensive premises; firing stays
-    /// sequential and deterministic either way.
-    pub parallel: bool,
     /// Matching strategy (indexed semi-naive vs full-scan oracle).
     pub matcher: Matcher,
     /// Worker threads for sharded premise matching. `1` (the default)
@@ -83,7 +79,6 @@ impl Default for ChaseOptions {
         ChaseOptions {
             variant: ChaseVariant::Standard,
             max_rounds: 10_000,
-            parallel: false,
             matcher: Matcher::default(),
             threads: default_threads(),
         }
@@ -261,8 +256,9 @@ impl ChaseOutcome {
 /// round); round `r ≥ 1` is the state after `r` committed, egd-enforced
 /// target rounds. When `delta` is `Some`, the round's entire effect was
 /// the listed insertions (a WAL can log just those); `None` means the
-/// round rewrote the instance wholesale (an egd substitution merged
-/// nulls), so durable sinks must record the full `target`.
+/// round also rewrote existing rows (an egd substitution merged nulls),
+/// which insertions cannot express, so durable sinks must record the
+/// full `target`.
 #[derive(Debug)]
 pub struct Checkpoint<'a> {
     /// Committed round number (0 = phase-1 output).
@@ -453,9 +449,6 @@ fn run_exchange(
     let mut stats = ChaseStats::default();
     let mode = opts.matcher.mode();
     let src_stats_before = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
-    // Index counters from target snapshots discarded by egd
-    // substitution (which rebuilds the instance).
-    let mut lost: (u64, u64) = (0, 0);
 
     // On a budget trip: finalize the stats counters and hand back the
     // prefix instance with the governor's report.
@@ -465,8 +458,8 @@ fn run_exchange(
             stats.rounds = rounds;
             let (src_b, src_p) = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
             let (tgt_b, tgt_p) = target.index_stats();
-            stats.index_builds = lost.0 + tgt_b + (src_b - src_stats_before.0);
-            stats.index_probes = lost.1 + tgt_p + (src_p - src_stats_before.1);
+            stats.index_builds = tgt_b + (src_b - src_stats_before.0);
+            stats.index_probes = tgt_p + (src_p - src_stats_before.1);
             return Ok(ChaseOutcome::Exhausted(Exhausted {
                 partial: target,
                 report: gov.report($reason),
@@ -496,51 +489,16 @@ fn run_exchange(
     // Phase 1: source-to-target (skipped when resuming — its output is
     // already folded into the restored target). The lhs only mentions
     // source relations, so a single pass over all (tgd, match) pairs
-    // suffices. Matching is read-only over the source, so it can fan
-    // out across tgds; firing is kept sequential for determinism.
+    // suffices. Matching is read-only over the source, so each tgd's
+    // premise matching is sharded across worker threads; firing is kept
+    // sequential for determinism.
     let nthreads = opts.effective_threads();
     if let Some(src) = src_opt {
-        // `crossbeam::scope` / `join` only err when a worker panicked;
-        // re-raising that panic is the contract — matching has no
-        // partial-result recovery at this level.
-        #[allow(clippy::expect_used)]
-        let all_matches: Vec<(usize, Vec<Valuation>)> = if nthreads > 1 {
-            // Shard each tgd's premise matching across worker threads.
+        for tgd in mapping.st_tgds() {
             // The seed-order merge inside `match_conjunction_sharded`
             // reproduces the sequential enumeration exactly, so the
             // firing (and null) order below is thread-count-invariant.
-            mapping
-                .st_tgds()
-                .iter()
-                .enumerate()
-                .map(|(i, tgd)| (i, match_conjunction_sharded(&tgd.lhs, src, mode, nthreads)))
-                .collect()
-        } else if opts.parallel && mapping.st_tgds().len() > 1 {
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = mapping
-                    .st_tgds()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, tgd)| {
-                        scope.spawn(move |_| (i, match_conjunction_mode(&tgd.lhs, src, mode)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chase match thread panicked"))
-                    .collect()
-            })
-            .expect("chase match threads panicked")
-        } else {
-            mapping
-                .st_tgds()
-                .iter()
-                .enumerate()
-                .map(|(i, tgd)| (i, match_conjunction_mode(&tgd.lhs, src, mode)))
-                .collect()
-        };
-        for (i, matches) in all_matches {
-            let tgd = &mapping.st_tgds()[i];
+            let matches = match_conjunction_sharded(&tgd.lhs, src, mode, nthreads);
             let rhs_vars: BTreeSet<Name> = tgd.rhs_vars().into_iter().collect();
             for m in matches {
                 // Each firing is an atomic step: a trip between firings
@@ -632,11 +590,12 @@ fn run_exchange(
         // enforcement provably terminates (each merge eliminates a
         // labeled null), and skipping checks here is what guarantees
         // every phase-2 partial is a fully egd-enforced boundary. The
-        // deadline overshoot is bounded by one round's egd work.
+        // deadline overshoot is bounded by one round's egd work, and
+        // each merge costs only its violation search plus the rows
+        // mentioning the merged null.
         let mut round_merged = false;
         for egd in mapping.target_egds() {
-            let (new_target, merges) = chase_one_egd(egd, target, mode, &mut lost)?;
-            target = new_target;
+            let (merges, _) = chase_one_egd(egd, &mut target, mode)?;
             if merges > 0 {
                 firings += merges;
                 changed = true;
@@ -655,7 +614,7 @@ fn run_exchange(
         gov.note_round();
         // The round is committed (firings + egds): hand it to the sink
         // *before* the budget checks below, so even a round that trips
-        // the governor is durably resumable. Substitution wiped the
+        // the governor is durably resumable. Substitution cleared the
         // delta logs on merge rounds, so those checkpoint in full.
         let cp_delta = if round_merged {
             None
@@ -674,8 +633,8 @@ fn run_exchange(
 
     let (src_b, src_p) = src_opt.map(Instance::index_stats).unwrap_or((0, 0));
     let (tgt_b, tgt_p) = target.index_stats();
-    stats.index_builds = lost.0 + tgt_b + (src_b - src_stats_before.0);
-    stats.index_probes = lost.1 + tgt_p + (src_p - src_stats_before.1);
+    stats.index_builds = tgt_b + (src_b - src_stats_before.0);
+    stats.index_probes = tgt_p + (src_p - src_stats_before.1);
 
     let nulls_created = count_new_nulls(&nulls_before, &gen);
     Ok(ChaseOutcome::Complete(ExchangeResult {
@@ -702,9 +661,11 @@ fn match_conjunction_sharded(
     mode: MatchMode,
     nthreads: usize,
 ) -> Vec<Valuation> {
-    let seeded = match seed_conjunction(atoms, inst, mode) {
-        Some(s) if nthreads > 1 => s,
-        _ => return match_conjunction_mode(atoms, inst, mode),
+    if nthreads <= 1 {
+        return match_conjunction_mode(atoms, inst, mode);
+    }
+    let Some(seeded) = seed_conjunction(atoms, inst, mode) else {
+        return match_conjunction_mode(atoms, inst, mode);
     };
     let rest = &seeded.rest;
     let seeds = &seeded.seeds;
@@ -820,53 +781,79 @@ fn delta_matches(
 }
 
 /// Chase one egd to its local fixpoint: repeatedly merge a null with
-/// the value it is equated to (one merge at a time, then re-match).
-/// Returns the new instance and the number of merges applied. `lost`
-/// accumulates the index counters of instance snapshots discarded by
-/// substitution.
+/// the value it is equated to, one merge at a time, re-searching the
+/// premise after each. Returns the number of merges applied and of rows
+/// rewritten by them.
+///
+/// Each step costs only what it touches: the violation search stops
+/// at the first match whose equality sides differ, and the one-null
+/// substitution rewrites, in place, just the rows that mention the
+/// merged null. The merge sequence (and so every surviving null label)
+/// is the one a full re-match and whole-instance substitution per step
+/// would produce, because the search enumerates matches in the same
+/// order and picks the same first violation.
 fn chase_one_egd(
     egd: &dex_logic::Egd,
-    mut target: Instance,
+    target: &mut Instance,
     mode: MatchMode,
-    lost: &mut (u64, u64),
-) -> Result<(Instance, usize), ChaseError> {
+) -> Result<(usize, usize), ChaseError> {
+    #[cfg(test)]
+    if crate::egd_oracle::active() {
+        let (next, merges) = crate::egd_oracle::chase_one_egd(egd, target, mode)?;
+        *target = next;
+        return Ok((merges, 0));
+    }
     let mut merges = 0usize;
-    loop {
-        let mut subst: BTreeMap<NullId, Value> = BTreeMap::new();
-        'find: for m in match_conjunction_mode(&egd.lhs, &target, mode) {
-            for (a, b) in &egd.equalities {
-                let va = term_value(a, &m, egd)?;
-                let vb = term_value(b, &m, egd)?;
-                if va == vb {
-                    continue;
-                }
-                match (&va, &vb) {
-                    (Value::Null(n), _) => {
-                        subst.insert(*n, vb.clone());
-                    }
-                    (_, Value::Null(n)) => {
-                        subst.insert(*n, va.clone());
-                    }
-                    _ => {
-                        return Err(ChaseError::EgdFailure {
-                            egd: egd.to_string(),
-                            left: va.to_string(),
-                            right: vb.to_string(),
-                        });
-                    }
-                }
-                break 'find; // apply one merge at a time
-            }
-        }
-        if subst.is_empty() {
-            return Ok((target, merges));
-        }
-        let (b, p) = target.index_stats();
-        lost.0 += b;
-        lost.1 += p;
-        target = target.substitute_nulls(&subst);
+    let mut rewritten = 0usize;
+    while let Some((null, value)) = first_violation(egd, target, mode)? {
+        rewritten += target.substitute_nulls_in_place(&BTreeMap::from([(null, value)]));
         merges += 1;
     }
+    Ok((merges, rewritten))
+}
+
+/// The merge forced by the first premise match, in enumeration order,
+/// that violates one of `egd`'s equalities: the null to replace and its
+/// replacement. Matches are streamed, so the search stops there. Forced
+/// equality of distinct constants, or an equality over a variable the
+/// premise never binds, is an error surfaced at that same match.
+fn first_violation(
+    egd: &dex_logic::Egd,
+    target: &Instance,
+    mode: MatchMode,
+) -> Result<Option<(NullId, Value)>, ChaseError> {
+    let mut verdict = Ok(None);
+    for_each_match_mode(&egd.lhs, target, &Valuation::new(), mode, &mut |m| {
+        verdict = violation_in(egd, m);
+        !matches!(verdict, Ok(None))
+    });
+    verdict
+}
+
+/// The merge `egd` forces at premise match `m`: its first equality
+/// whose sides differ decides it (a null side is replaced by the other
+/// side; two distinct constants fail).
+fn violation_in(
+    egd: &dex_logic::Egd,
+    m: &Valuation,
+) -> Result<Option<(NullId, Value)>, ChaseError> {
+    for (a, b) in &egd.equalities {
+        let va = term_value(a, m, egd)?;
+        let vb = term_value(b, m, egd)?;
+        if va == vb {
+            continue;
+        }
+        return match (va, vb) {
+            (Value::Null(n), vb) => Ok(Some((n, vb))),
+            (va, Value::Null(n)) => Ok(Some((n, va))),
+            (va, vb) => Err(ChaseError::EgdFailure {
+                egd: egd.to_string(),
+                left: va.to_string(),
+                right: vb.to_string(),
+            }),
+        };
+    }
+    Ok(None)
 }
 
 /// Chase a set of egds over an instance to fixpoint (merging nulls;
@@ -888,6 +875,10 @@ pub struct EgdStats {
     pub index_builds: u64,
     /// Index probes served while matching egd premises.
     pub index_probes: u64,
+    /// Rows rewritten by the merges' null substitutions. Together with
+    /// `index_probes` this counts the run's work: a merge rewrites only
+    /// the rows that mention the merged null.
+    pub rewritten: u64,
 }
 
 /// Like [`enforce_egds`], but also reports fixpoint rounds, merges, and
@@ -946,12 +937,11 @@ pub fn enforce_egds_governed(
     egds: &[dex_logic::Egd],
     gov: &Governor,
 ) -> Result<EgdOutcome, ChaseError> {
-    // The clone starts with zeroed index counters, so the instance's
-    // final counters (plus those lost to substitutions) are exactly
-    // this run's work.
+    // The clone starts with zeroed index counters, and substitution
+    // keeps them, so the instance's final counters are exactly this
+    // run's work.
     let mut target = inst.clone();
     let mut stats = EgdStats::default();
-    let mut lost = (0u64, 0u64);
     macro_rules! exhaust {
         ($reason:expr) => {{
             let (builds, probes) = target.index_stats();
@@ -959,8 +949,8 @@ pub fn enforce_egds_governed(
                 report: gov.report($reason),
                 stats: ChaseStats {
                     rounds: stats.rounds,
-                    index_builds: lost.0 + builds,
-                    index_probes: lost.1 + probes,
+                    index_builds: builds,
+                    index_probes: probes,
                     ..ChaseStats::default()
                 },
                 partial: target,
@@ -973,16 +963,16 @@ pub fn enforce_egds_governed(
             if let Err(reason) = gov.check() {
                 exhaust!(reason);
             }
-            let (next, merges) = chase_one_egd(egd, target, MatchMode::default(), &mut lost)?;
-            target = next;
+            let (merges, rewritten) = chase_one_egd(egd, &mut target, MatchMode::default())?;
             stats.merges += merges;
+            stats.rewritten += rewritten as u64;
             changed |= merges > 0;
         }
         if !changed {
             stats.rounds += 1;
             let (builds, probes) = target.index_stats();
-            stats.index_builds = lost.0 + builds;
-            stats.index_probes = lost.1 + probes;
+            stats.index_builds = builds;
+            stats.index_probes = probes;
             return Ok(EgdOutcome::Complete {
                 instance: target,
                 stats,
@@ -1035,7 +1025,11 @@ fn unbound_in_atom(atom: &Atom, v: &Valuation, tgd: &StTgd) -> ChaseError {
 /// variable the egd's premise never binds. Parse-time validation
 /// rejects such egds in `.dex` sources; this guards programmatically
 /// constructed ones.
-fn term_value(t: &Term, m: &Valuation, egd: &dex_logic::Egd) -> Result<Value, ChaseError> {
+pub(crate) fn term_value(
+    t: &Term,
+    m: &Valuation,
+    egd: &dex_logic::Egd,
+) -> Result<Value, ChaseError> {
     t.eval(m).ok_or_else(|| {
         let mut vars = Vec::new();
         t.collect_vars(&mut vars);
@@ -1446,13 +1440,21 @@ mod tests {
             )
             .unwrap();
         }
-        let seq = exchange_with(&m, &src, ChaseOptions::default()).unwrap();
+        let seq = exchange_with(
+            &m,
+            &src,
+            ChaseOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         for matcher in [Matcher::Indexed, Matcher::Scan] {
             let par = exchange_with(
                 &m,
                 &src,
                 ChaseOptions {
-                    parallel: true,
+                    threads: 3,
                     matcher,
                     ..Default::default()
                 },

@@ -23,6 +23,8 @@
 pub mod chase;
 pub mod core_min;
 pub mod critical;
+#[cfg(test)]
+mod egd_oracle;
 pub mod error;
 pub mod query;
 pub mod sochase;

@@ -23,6 +23,13 @@
 //!   an `RwLock` until the next mutation. Full scans are off the
 //!   indexed hot path, so sorting on demand costs less than keeping a
 //!   B-tree balanced on every insert of a 10⁶-row chase.
+//! * **Null occurrences.** Every store counts its null cells (one tag
+//!   check per inserted cell), so a null-free store is known to be one
+//!   without a scan. The first [`ColumnStore::rows_with_null`] call
+//!   builds a labeled null → live rows map, which inserts and removals
+//!   then keep current: an egd merge finds the rows it must rewrite
+//!   without scanning, and stores no merge ever asks about (the
+//!   common, merge-free chase) pay nothing for the map.
 //!
 //! Everything observable — iteration order, equality, serialization —
 //! is defined over the *live, canonically ordered* rows; the arena
@@ -30,7 +37,7 @@
 
 use crate::index::TupleId;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{NullId, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -71,6 +78,11 @@ pub struct ColumnStore {
     hashes: Vec<u64>,
     /// Row hash → live ids with that hash (collisions compared by value).
     dedup: HashMap<u64, Vec<TupleId>>,
+    /// Null cells in live rows (nulls nested in Skolem terms included).
+    null_cells: usize,
+    /// Labeled null → live ids of the rows mentioning it, ascending.
+    /// `None` until the first [`ColumnStore::rows_with_null`] call.
+    null_rows: Option<HashMap<NullId, Vec<TupleId>>>,
     /// Bumped on every mutation of the live set. Starts at 1 so the
     /// default `OrderCache` (and index caches keyed on this version)
     /// are always stale.
@@ -89,6 +101,8 @@ impl ColumnStore {
             dead: 0,
             hashes: Vec::new(),
             dedup: HashMap::new(),
+            null_cells: 0,
+            null_rows: None,
             version: 1,
             order: RwLock::new(OrderCache::default()),
         }
@@ -202,6 +216,10 @@ impl ColumnStore {
         self.live.push(true);
         self.hashes.push(h);
         self.dedup.entry(h).or_default().push(id);
+        self.null_cells += count_nulls(t.iter());
+        if let Some(map) = &mut self.null_rows {
+            index_row_nulls(map, id, t.iter());
+        }
         self.version += 1;
         Some(id)
     }
@@ -226,6 +244,24 @@ impl ColumnStore {
             ids.retain(|&i| i != id);
             if ids.is_empty() {
                 self.dedup.remove(&h);
+            }
+        }
+        let row = || self.columns.iter().map(|c| &c[id as usize]);
+        self.null_cells -= count_nulls(row());
+        if let Some(map) = &mut self.null_rows {
+            for v in row() {
+                v.for_each_null(&mut |n| {
+                    if let Some(rows) = map.get_mut(&n) {
+                        // Ids are indexed in ascending order, so the list
+                        // stays sorted; a repeated null finds `id` gone.
+                        if let Ok(i) = rows.binary_search(&id) {
+                            rows.remove(i);
+                        }
+                        if rows.is_empty() {
+                            map.remove(&n);
+                        }
+                    }
+                });
             }
         }
         self.version += 1;
@@ -255,7 +291,36 @@ impl ColumnStore {
         self.dead = 0;
         self.hashes.clear();
         self.dedup.clear();
+        self.null_cells = 0;
+        self.null_rows = None;
         self.version += 1;
+    }
+
+    /// Does any live row mention a labeled null? Answered from a
+    /// counter: no scan.
+    pub fn has_nulls(&self) -> bool {
+        self.null_cells > 0
+    }
+
+    /// Live ids of the rows mentioning null `n` (also inside Skolem
+    /// arguments), ascending. A null-free store answers at once; any
+    /// other builds its null → rows map on the first call (one pass
+    /// over the live rows) and answers from it ever after.
+    pub fn rows_with_null(&mut self, n: NullId) -> &[TupleId] {
+        if self.null_cells == 0 {
+            return &[];
+        }
+        if self.null_rows.is_none() {
+            let mut map = HashMap::new();
+            for id in self.live_ids() {
+                index_row_nulls(&mut map, id, self.columns.iter().map(|c| &c[id as usize]));
+            }
+            self.null_rows = Some(map);
+        }
+        self.null_rows
+            .as_ref()
+            .and_then(|map| map.get(&n))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Live ids in arena (insertion) order.
@@ -291,6 +356,32 @@ impl ColumnStore {
     }
 }
 
+/// How many null cells `values` hold.
+fn count_nulls<'a>(values: impl Iterator<Item = &'a Value>) -> usize {
+    let mut cells = 0;
+    for v in values {
+        v.for_each_null(&mut |_| cells += 1);
+    }
+    cells
+}
+
+/// Record row `id`, holding `values`, under every null it mentions
+/// (a null repeated within the row is recorded once).
+fn index_row_nulls<'a>(
+    map: &mut HashMap<NullId, Vec<TupleId>>,
+    id: TupleId,
+    values: impl Iterator<Item = &'a Value>,
+) {
+    for v in values {
+        v.for_each_null(&mut |n| {
+            let rows = map.entry(n).or_default();
+            if rows.last() != Some(&id) {
+                rows.push(id);
+            }
+        });
+    }
+}
+
 impl Clone for ColumnStore {
     fn clone(&self) -> Self {
         ColumnStore {
@@ -301,6 +392,8 @@ impl Clone for ColumnStore {
             dead: self.dead,
             hashes: self.hashes.clone(),
             dedup: self.dedup.clone(),
+            null_cells: self.null_cells,
+            null_rows: self.null_rows.clone(),
             version: self.version,
             order: RwLock::new(OrderCache::default()),
         }
@@ -369,6 +462,44 @@ mod tests {
         assert_eq!(s.row_hash(a), hash_values(tuple!["x", 1i64].iter()));
         let b = s.push(&tuple!["x", 2i64]).unwrap();
         assert_ne!(s.row_hash(a), s.row_hash(b));
+    }
+
+    #[test]
+    fn null_rows_track_live_occurrences() {
+        let n = |i| Value::null(i);
+        let mut s = ColumnStore::new(2);
+        s.push(&tuple!["p", "q"]);
+        assert!(!s.has_nulls());
+        assert!(s.rows_with_null(NullId(1)).is_empty(), "null-free: no map");
+        assert!(s.null_rows.is_none());
+        let a = s.push(&Tuple::new(vec![n(1), n(1)])).unwrap();
+        let b = s.push(&Tuple::new(vec![Value::str("x"), n(2)])).unwrap();
+        let c = s
+            .push(&Tuple::new(vec![
+                Value::Skolem(crate::Name::new("f"), vec![n(1)]),
+                Value::str("y"),
+            ]))
+            .unwrap();
+        assert!(s.has_nulls());
+        assert_eq!(
+            s.rows_with_null(NullId(1)),
+            &[a, c],
+            "repeats recorded once"
+        );
+        assert_eq!(s.rows_with_null(NullId(2)), &[b]);
+        assert!(s.rows_with_null(NullId(9)).is_empty());
+        // Once built, the map follows inserts and removals.
+        let d = s.push(&Tuple::new(vec![n(2), n(3)])).unwrap();
+        assert_eq!(s.rows_with_null(NullId(2)), &[b, d]);
+        s.tombstone(a);
+        assert_eq!(s.rows_with_null(NullId(1)), &[c]);
+        s.tombstone(b);
+        s.tombstone(d);
+        assert!(s.rows_with_null(NullId(2)).is_empty());
+        s.tombstone(c);
+        assert!(!s.has_nulls(), "every null cell left with its row");
+        s.clear();
+        assert!(s.null_rows.is_none());
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   index warm incrementally (the new arena row is folded into
 //!   existing postings on the next probe via the `synced` watermark),
 //!   so the chase's insert–probe–insert loop costs O(1) amortized per
-//!   tuple instead of a full rebuild per insertion. Destructive
-//!   mutations (remove, retain, clear) invalidate wholesale through the
-//!   store's version counter.
+//!   tuple instead of a full rebuild per insertion. Single-row removal
+//!   is kept warm too (the row leaves its postings), which is what lets
+//!   an egd merge rewrite a few rows in place without a rebuild. Bulk
+//!   destructive mutations (retain, clear) invalidate wholesale through
+//!   the store's version counter.
 //!
 //! * [`TupleIndex`] — a standalone, eagerly maintained index from a
 //!   key projection to the set of full tuples with that key. This is
@@ -146,6 +148,35 @@ impl IndexState {
         let built = self.built.get_mut().unwrap_or_else(|p| p.into_inner());
         if built.version + 1 == version_after {
             built.version = version_after;
+        }
+    }
+
+    /// Keep a built index warm across the tombstoning of row `id`
+    /// (already applied to `store`, whose version it bumped by one): if
+    /// the postings were current just before, drop `id` from every
+    /// posting it was folded into and mark them current. Rows past the
+    /// `synced` watermark were never folded in, and the fold skips dead
+    /// rows, so they need nothing.
+    pub(crate) fn note_remove(&mut self, store: &ColumnStore, id: TupleId) {
+        let built = self.built.get_mut().unwrap_or_else(|p| p.into_inner());
+        if built.version + 1 != store.version() {
+            return;
+        }
+        built.version = store.version();
+        if id as usize >= built.synced {
+            return;
+        }
+        for (&pos, map) in built.by_pos.iter_mut() {
+            let value = store.value(id, pos);
+            if let Some(ids) = map.get_mut(value) {
+                // Postings are filled in ascending id order.
+                if let Ok(i) = ids.binary_search(&id) {
+                    ids.remove(i);
+                }
+                if ids.is_empty() {
+                    map.remove(value);
+                }
+            }
         }
     }
 
@@ -382,6 +413,44 @@ mod tests {
         let (builds, probes) = state.stats();
         assert!(builds >= 2, "postings rebuilt after removal");
         assert_eq!(probes, 3);
+    }
+
+    #[test]
+    fn single_row_removal_keeps_index_warm() {
+        let mut store = ColumnStore::new(2);
+        store.push(&tuple!["x", 1i64]);
+        store.push(&tuple!["x", 2i64]);
+        store.push(&tuple!["y", 1i64]);
+        let mut state = IndexState::default();
+        let x = crate::value::Value::str("x");
+        assert_eq!(state.probe_ids(&store, 0, &x).len(), 2);
+        assert_eq!(
+            state.posting_len(&store, 1, &crate::value::Value::int(1)),
+            2
+        );
+        let (builds_before, _) = state.stats();
+
+        let id = store.remove(&tuple!["x", 1i64]).unwrap();
+        state.note_remove(&store, id);
+        // An appended-then-removed row past the watermark is skipped.
+        let late = store.push(&tuple!["x", 3i64]).unwrap();
+        state.note_append(store.version());
+        store.tombstone(late);
+        state.note_remove(&store, late);
+
+        let ids = state.probe_ids(&store, 0, &x);
+        assert_eq!(
+            ids.iter()
+                .map(|&id| store.materialize(id))
+                .collect::<Vec<_>>(),
+            vec![tuple!["x", 2i64]]
+        );
+        assert_eq!(
+            state.posting_len(&store, 1, &crate::value::Value::int(1)),
+            1
+        );
+        let (builds_after, _) = state.stats();
+        assert_eq!(builds_after, builds_before, "removal avoids rebuilds");
     }
 
     #[test]

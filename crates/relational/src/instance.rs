@@ -221,16 +221,16 @@ impl Instance {
         NullGen::starting_at(start)
     }
 
-    /// Apply a null substitution across the whole instance.
-    pub fn substitute_nulls(&self, subst: &BTreeMap<NullId, Value>) -> Instance {
-        Instance {
-            schema: self.schema.clone(),
-            relations: self
-                .relations
-                .iter()
-                .map(|(n, r)| (n.clone(), r.substitute_nulls(subst)))
-                .collect(),
-        }
+    /// Apply a null substitution across the instance, in place, and
+    /// clear every delta log (see [`Relation::substitute_nulls_in_place`]).
+    /// Only rows mentioning a substituted null are rewritten; relations
+    /// without such rows, null-free ones included, are not scanned.
+    /// Returns how many rows were rewritten.
+    pub fn substitute_nulls_in_place(&mut self, subst: &BTreeMap<NullId, Value>) -> usize {
+        self.relations
+            .values_mut()
+            .map(|r| r.substitute_nulls_in_place(subst))
+            .sum()
     }
 
     /// All FD violations across all relations.
@@ -435,9 +435,10 @@ mod tests {
         .unwrap();
         let mut s = BTreeMap::new();
         s.insert(NullId(0), Value::str("Ted"));
-        let j = i.substitute_nulls(&s);
-        assert!(j.contains("Manager", &tuple!["Alice", "Ted"]));
-        assert!(j.is_ground());
+        assert_eq!(i.substitute_nulls_in_place(&s), 1);
+        assert!(i.contains("Manager", &tuple!["Alice", "Ted"]));
+        assert!(i.is_ground());
+        assert!(i.nulls().is_empty());
     }
 
     #[test]

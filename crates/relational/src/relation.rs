@@ -280,7 +280,13 @@ impl Relation {
 
     /// Remove a tuple. Returns `true` if it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        self.store.remove(t).is_some()
+        match self.store.remove(t) {
+            Some(id) => {
+                self.index.note_remove(&self.store, id);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Membership test.
@@ -372,8 +378,11 @@ impl Relation {
     }
 
     /// Collect every null id occurring in the instance (column scan,
-    /// no row materialization).
+    /// no row materialization; none at all for a null-free relation).
     pub fn collect_nulls(&self, out: &mut BTreeSet<NullId>) {
+        if !self.store.has_nulls() {
+            return;
+        }
         for id in self.store.live_ids() {
             for col in 0..self.schema.arity() {
                 self.store.value(id, col).collect_nulls(out);
@@ -381,13 +390,45 @@ impl Relation {
         }
     }
 
-    /// Apply a null substitution to every tuple (tuples may merge).
-    pub fn substitute_nulls(&self, subst: &BTreeMap<NullId, Value>) -> Relation {
-        let mut out = Relation::empty(self.schema.clone());
-        for t in self.iter() {
-            out.store.push(&t.substitute_nulls(subst));
+    /// Apply a null substitution in place (tuples may merge) and clear
+    /// the delta log. Only the rows that mention a substituted null are
+    /// rewritten: they are found through the store's null → rows map
+    /// ([`ColumnStore::rows_with_null`]), tombstoned, and their
+    /// substituted images re-inserted, so past the map's one-time build
+    /// the cost is proportional to those rows, never to the relation,
+    /// and built indexes stay warm. A null-free relation costs nothing.
+    /// Returns how many rows were rewritten.
+    ///
+    /// The delta log is cleared even when nothing is rewritten: a
+    /// substitution is not a set of insertions, so the rows logged
+    /// before it no longer describe what changed.
+    pub fn substitute_nulls_in_place(&mut self, subst: &BTreeMap<NullId, Value>) -> usize {
+        self.index.take_delta();
+        let mut ids: Vec<TupleId> = Vec::new();
+        for &n in subst.keys() {
+            ids.extend_from_slice(self.store.rows_with_null(n));
         }
-        out
+        if ids.is_empty() {
+            return 0;
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let images: Vec<Tuple> = ids
+            .iter()
+            .map(|&id| self.store.materialize(id).substitute_nulls(subst))
+            .collect();
+        // Tombstone every old row before inserting any image, so an
+        // image can only merge with a row that survives.
+        for &id in &ids {
+            self.store.tombstone(id);
+            self.index.note_remove(&self.store, id);
+        }
+        for t in &images {
+            if self.store.push(t).is_some() {
+                self.index.note_append(self.store.version());
+            }
+        }
+        ids.len()
     }
 
     /// Check the relation's declared FDs, reporting every violating pair.
@@ -673,8 +714,40 @@ mod tests {
         let mut sub = BTreeMap::new();
         sub.insert(NullId(0), Value::str("x"));
         sub.insert(NullId(1), Value::str("x"));
-        let r2 = r.substitute_nulls(&sub);
-        assert_eq!(r2.len(), 1);
+        assert_eq!(r.substitute_nulls_in_place(&sub), 2);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.tuples(), BTreeSet::from([tuple!["x"]]));
+        assert!(r.tuples().iter().all(Tuple::is_ground));
+    }
+
+    #[test]
+    fn in_place_substitution_touches_only_rows_with_the_null() {
+        let s = RelSchema::untyped("P", vec!["a", "b"]).unwrap();
+        let mut r = Relation::empty(s);
+        r.insert(tuple!["k", "c"]).unwrap();
+        r.insert_delta(Tuple::new(vec![Value::str("k"), Value::null(0)]))
+            .unwrap();
+        r.insert(Tuple::new(vec![Value::null(0), Value::null(1)]))
+            .unwrap();
+        // Warm an index, then substitute: the rewrite keeps it warm.
+        assert_eq!(r.probe_ids(0, &Value::str("k")).len(), 2);
+        let (builds, _) = r.index_stats();
+        let sub = BTreeMap::from([(NullId(0), Value::str("c"))]);
+        assert_eq!(r.substitute_nulls_in_place(&sub), 2);
+        assert_eq!(
+            r.tuples(),
+            BTreeSet::from([
+                tuple!["k", "c"],
+                Tuple::new(vec![Value::str("c"), Value::null(1)]),
+            ]),
+            "(k, _0) merged into (k, c)"
+        );
+        assert_eq!(r.delta_len(), 0, "the delta log is cleared");
+        assert_eq!(r.probe_ids(0, &Value::str("k")).len(), 1);
+        assert_eq!(r.probe_ids(0, &Value::str("c")).len(), 1);
+        assert_eq!(r.index_stats().0, builds, "no index rebuild");
+        let sub = BTreeMap::from([(NullId(7), Value::str("z"))]);
+        assert_eq!(r.substitute_nulls_in_place(&sub), 0, "absent null");
     }
 
     #[test]

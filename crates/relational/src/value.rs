@@ -172,14 +172,21 @@ impl Value {
     /// Collect every [`NullId`] occurring in this value (including inside
     /// Skolem arguments) into `out`.
     pub fn collect_nulls(&self, out: &mut std::collections::BTreeSet<NullId>) {
+        self.for_each_null(&mut |n| {
+            out.insert(n);
+        });
+    }
+
+    /// Call `f` on every [`NullId`] occurring in this value (including
+    /// inside Skolem arguments), in left-to-right order, repeats
+    /// included. Constants cost one tag check and nothing else.
+    pub fn for_each_null(&self, f: &mut impl FnMut(NullId)) {
         match self {
             Value::Const(_) => {}
-            Value::Null(n) => {
-                out.insert(*n);
-            }
+            Value::Null(n) => f(*n),
             Value::Skolem(_, args) => {
                 for a in args {
-                    a.collect_nulls(out);
+                    a.for_each_null(f);
                 }
             }
         }
